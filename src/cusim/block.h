@@ -5,7 +5,9 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
+#include <memory>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "common/check.h"
@@ -14,6 +16,58 @@
 #include "perf/perf_counters.h"
 
 namespace kcore::sim {
+
+/// A block's shared-memory arena: uninitialized host storage, recycled
+/// through one spare per host thread. A launch constructs a block per grid
+/// slot, so zero-filling or allocating the full per-block budget each time
+/// would cost the host in proportion to launches x blocks x budget, not to
+/// the work the kernel does. Nothing may read arena bytes that SharedAlloc
+/// did not hand out (and zero): simcheck's memcheck bounds every shared
+/// access to shared_used().
+class SharedArena {
+ public:
+  explicit SharedArena(size_t bytes) : size_(bytes) {
+    Spare& spare = ThreadSpare();
+    if (spare.bytes != nullptr && spare.capacity >= bytes) {
+      bytes_ = std::move(spare.bytes);
+      capacity_ = spare.capacity;
+    } else {
+      bytes_ = std::make_unique_for_overwrite<std::byte[]>(bytes);
+      capacity_ = bytes;
+    }
+  }
+
+  /// Hands the storage back as this thread's spare (keeping the larger).
+  ~SharedArena() {
+    Spare& spare = ThreadSpare();
+    if (spare.bytes == nullptr || spare.capacity < capacity_) {
+      spare.bytes = std::move(bytes_);
+      spare.capacity = capacity_;
+    }
+  }
+
+  SharedArena(const SharedArena&) = delete;
+  SharedArena& operator=(const SharedArena&) = delete;
+
+  std::byte* data() { return bytes_.get(); }
+  const std::byte* data() const { return bytes_.get(); }
+  /// The block's budget (the storage may be larger when recycled).
+  size_t size() const { return size_; }
+
+ private:
+  struct Spare {
+    std::unique_ptr<std::byte[]> bytes;
+    size_t capacity = 0;
+  };
+  static Spare& ThreadSpare() {
+    thread_local Spare spare;
+    return spare;
+  }
+
+  std::unique_ptr<std::byte[]> bytes_;
+  size_t capacity_ = 0;
+  size_t size_;
+};
 
 /// One thread block of a simulated kernel launch.
 ///
@@ -75,7 +129,8 @@ class BlockCtxT {
     counters_.block = this;
   }
 
-  /// Allocates `count` zero-initialized Ts from this block's shared memory.
+  /// Allocates `count` zero-initialized Ts from this block's shared memory
+  /// (the only zeroing the arena gets; see SharedArena).
   /// Exceeding the per-block shared-memory budget is a configuration bug
   /// (CUDA would fail the launch), hence fatal.
   template <typename T>
@@ -150,7 +205,7 @@ class BlockCtxT {
   uint32_t block_id_;
   uint32_t num_blocks_;
   uint32_t block_dim_;
-  std::vector<std::byte> shared_;
+  SharedArena shared_;
   size_t shared_used_ = 0;
   uint32_t current_warp_ = 0;
   uint32_t sync_interval_ = 0;

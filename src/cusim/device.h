@@ -315,14 +315,16 @@ class Device {
       per_block[b] = block.counters();
     });
 
+    std::vector<double>& block_ns = last_launch_stats_.block_ns;
+    block_ns.resize(num_blocks);
     double max_block_ns = 0.0;
     double sum_block_ns = 0.0;
     PerfCounters launch_total;
-    for (const PerfCounters& c : per_block) {
-      const double ns = options_.cost.UnitTimeNs(c);
-      max_block_ns = std::max(max_block_ns, ns);
-      sum_block_ns += ns;
-      launch_total += c;
+    for (uint32_t b = 0; b < num_blocks; ++b) {
+      block_ns[b] = options_.cost.UnitTimeNs(per_block[b]);
+      max_block_ns = std::max(max_block_ns, block_ns[b]);
+      sum_block_ns += block_ns[b];
+      launch_total += per_block[b];
     }
     // Blocks beyond the SM count execute in waves; the kernel cannot finish
     // before its slowest block nor faster than the work spread over all SMs.
@@ -330,10 +332,6 @@ class Device {
         std::max(max_block_ns, sum_block_ns / options_.num_sms);
     last_launch_stats_.max_block_ns = max_block_ns;
     last_launch_stats_.mean_block_ns = sum_block_ns / num_blocks;
-    last_launch_stats_.block_ns.assign(num_blocks, 0.0);
-    for (uint32_t b = 0; b < num_blocks; ++b) {
-      last_launch_stats_.block_ns[b] = options_.cost.UnitTimeNs(per_block[b]);
-    }
     modeled_ns_ += options_.cost.kernel_launch_ns + body_ns;
     launch_total.kernel_launches = 1;
     totals_ += launch_total;

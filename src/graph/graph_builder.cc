@@ -3,63 +3,42 @@
 #include <algorithm>
 #include <limits>
 #include <unordered_map>
+#include <vector>
 
 #include "common/strings.h"
 
 namespace kcore {
 
-namespace {
-
-/// Sorts + uniquifies each adjacency list in place, compacting the CSR
-/// arrays. Returns the rebuilt (offsets, neighbors).
-void SortAndDedupAdjacency(VertexId num_vertices, bool dedup,
-                           std::vector<EdgeIndex>& offsets,
-                           std::vector<VertexId>& neighbors) {
-  std::vector<EdgeIndex> new_offsets(num_vertices + 1, 0);
-  EdgeIndex write = 0;
-  for (VertexId v = 0; v < num_vertices; ++v) {
-    const EdgeIndex begin = offsets[v];
-    const EdgeIndex end = offsets[v + 1];
-    std::sort(neighbors.begin() + static_cast<ptrdiff_t>(begin),
-              neighbors.begin() + static_cast<ptrdiff_t>(end));
-    new_offsets[v] = write;
-    VertexId prev = std::numeric_limits<VertexId>::max();
-    for (EdgeIndex i = begin; i < end; ++i) {
-      if (dedup && neighbors[i] == prev) continue;
-      prev = neighbors[i];
-      neighbors[write++] = neighbors[i];
-    }
-  }
-  new_offsets[num_vertices] = write;
-  neighbors.resize(write);
-  neighbors.shrink_to_fit();
-  offsets = std::move(new_offsets);
-}
-
-}  // namespace
-
 StatusOr<BuiltGraph> BuildGraph(const EdgeList& edges,
                                 const BuildOptions& options) {
   BuiltGraph out;
 
-  // Pass 1: assign dense IDs (or validate density).
-  std::unordered_map<uint64_t, VertexId> id_map;
-  uint64_t max_raw_id = 0;
+  // Pass 1: map every kept endpoint to its dense ID once (first-appearance
+  // order when recoding), caching the pair for the counting passes.
+  std::vector<VertexId> ends;
+  ends.reserve(2 * edges.size());
+  VertexId num_vertices = 0;
   if (options.recode_ids) {
+    std::unordered_map<uint64_t, VertexId> id_map;
     id_map.reserve(edges.size());
     for (const RawEdge& e : edges) {
+      if (options.remove_self_loops && e.u == e.v) continue;
       for (uint64_t raw : {e.u, e.v}) {
-        if (options.remove_self_loops && e.u == e.v) continue;
+        // try_emplace, unlike emplace, builds no node for a known ID.
         auto [it, inserted] =
-            id_map.emplace(raw, static_cast<VertexId>(id_map.size()));
-        (void)it;
-        if (inserted &&
-            id_map.size() > std::numeric_limits<VertexId>::max()) {
-          return Status::InvalidArgument("too many distinct vertex IDs");
+            id_map.try_emplace(raw, static_cast<VertexId>(id_map.size()));
+        if (inserted) {
+          if (id_map.size() > std::numeric_limits<VertexId>::max()) {
+            return Status::InvalidArgument("too many distinct vertex IDs");
+          }
+          out.original_ids.push_back(raw);
         }
+        ends.push_back(it->second);
       }
     }
+    num_vertices = static_cast<VertexId>(id_map.size());
   } else {
+    uint64_t max_raw_id = 0;
     for (const RawEdge& e : edges) {
       max_raw_id = std::max({max_raw_id, e.u, e.v});
     }
@@ -69,46 +48,77 @@ StatusOr<BuiltGraph> BuildGraph(const EdgeList& edges,
           StrFormat("vertex ID %llu exceeds dense range; enable recode_ids",
                     static_cast<unsigned long long>(max_raw_id)));
     }
+    num_vertices = edges.empty() ? 0 : static_cast<VertexId>(max_raw_id + 1);
+    for (const RawEdge& e : edges) {
+      if (options.remove_self_loops && e.u == e.v) continue;
+      ends.push_back(static_cast<VertexId>(e.u));
+      ends.push_back(static_cast<VertexId>(e.v));
+    }
   }
 
-  const VertexId num_vertices =
-      options.recode_ids
-          ? static_cast<VertexId>(id_map.size())
-          : (edges.empty() ? 0 : static_cast<VertexId>(max_raw_id + 1));
-
-  auto dense = [&](uint64_t raw) -> VertexId {
-    return options.recode_ids ? id_map.find(raw)->second
-                              : static_cast<VertexId>(raw);
-  };
-
-  // Pass 2: counting sort into CSR slots.
-  std::vector<EdgeIndex> offsets(static_cast<size_t>(num_vertices) + 1, 0);
-  for (const RawEdge& e : edges) {
-    if (options.remove_self_loops && e.u == e.v) continue;
-    const VertexId u = dense(e.u);
-    const VertexId v = dense(e.v);
-    ++offsets[u + 1];
-    if (options.make_undirected) ++offsets[v + 1];
+  // Every arc (source -> target): u -> v per edge, plus v -> u when
+  // undirected. Count both endpoint degrees at once.
+  const size_t n = num_vertices;
+  std::vector<EdgeIndex> by_target(n + 1, 0);
+  std::vector<EdgeIndex> offsets(n + 1, 0);
+  for (size_t i = 0; i < ends.size(); i += 2) {
+    ++offsets[ends[i] + 1];
+    ++by_target[ends[i + 1] + 1];
+    if (options.make_undirected) {
+      ++offsets[ends[i + 1] + 1];
+      ++by_target[ends[i] + 1];
+    }
   }
-  for (VertexId v = 0; v < num_vertices; ++v) offsets[v + 1] += offsets[v];
+  for (size_t v = 0; v < n; ++v) {
+    offsets[v + 1] += offsets[v];
+    by_target[v + 1] += by_target[v];
+  }
 
-  std::vector<VertexId> neighbors(offsets[num_vertices]);
+  // Counting pass A: bucket each arc's source by its target.
+  std::vector<VertexId> sources(by_target[n]);
+  {
+    std::vector<EdgeIndex> cursor(by_target.begin(), by_target.end() - 1);
+    for (size_t i = 0; i < ends.size(); i += 2) {
+      sources[cursor[ends[i + 1]]++] = ends[i];
+      if (options.make_undirected) sources[cursor[ends[i]]++] = ends[i + 1];
+    }
+  }
+  ends = {};
+
+  // Counting pass B: walk targets in increasing order and append each to
+  // its sources' lists, so every list comes out sorted with duplicates
+  // adjacent — the order a per-list sort would give, in O(V + E).
+  std::vector<VertexId> neighbors(offsets[n]);
   std::vector<EdgeIndex> cursor(offsets.begin(), offsets.end() - 1);
-  for (const RawEdge& e : edges) {
-    if (options.remove_self_loops && e.u == e.v) continue;
-    const VertexId u = dense(e.u);
-    const VertexId v = dense(e.v);
-    neighbors[cursor[u]++] = v;
-    if (options.make_undirected) neighbors[cursor[v]++] = u;
+  for (size_t t = 0; t < n; ++t) {
+    for (EdgeIndex i = by_target[t]; i < by_target[t + 1]; ++i) {
+      const VertexId s = sources[i];
+      if (options.dedup && cursor[s] != offsets[s] &&
+          neighbors[cursor[s] - 1] == t) {
+        continue;
+      }
+      neighbors[cursor[s]++] = static_cast<VertexId>(t);
+    }
   }
+  sources = {};
+  by_target = {};
 
-  SortAndDedupAdjacency(num_vertices, options.dedup, offsets, neighbors);
+  if (options.dedup) {
+    // Close the gaps dropped duplicates left at the end of each list.
+    EdgeIndex write = 0;
+    for (size_t v = 0; v < n; ++v) {
+      const EdgeIndex begin = offsets[v];
+      offsets[v] = write;
+      for (EdgeIndex i = begin; i < cursor[v]; ++i) {
+        neighbors[write++] = neighbors[i];
+      }
+    }
+    offsets[n] = write;
+    neighbors.resize(write);
+    neighbors.shrink_to_fit();
+  }
 
   out.graph = CsrGraph(std::move(offsets), std::move(neighbors));
-  if (options.recode_ids) {
-    out.original_ids.resize(num_vertices);
-    for (const auto& [raw, id] : id_map) out.original_ids[id] = raw;
-  }
   return out;
 }
 

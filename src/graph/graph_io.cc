@@ -2,10 +2,11 @@
 
 #include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <limits>
 #include <memory>
 #include <string>
+#include <string_view>
+#include <vector>
 
 #include "common/strings.h"
 
@@ -49,10 +50,10 @@ Status ReadAll(std::FILE* f, void* data, size_t bytes,
 }
 
 /// A short excerpt of `line` for error messages (whole line if short).
-std::string Excerpt(const std::string& line) {
+std::string Excerpt(std::string_view line) {
   constexpr size_t kMax = 40;
-  if (line.size() <= kMax) return line;
-  return line.substr(0, kMax) + "...";
+  if (line.size() <= kMax) return std::string(line);
+  return std::string(line.substr(0, kMax)) + "...";
 }
 
 bool IsFieldSeparator(char c) {
@@ -65,7 +66,7 @@ bool IsFieldSeparator(char c) {
 /// non-numeric tokens, and values past uint64 — every way a hand-edited or
 /// truncated edge file lies about a vertex.
 Status ParseVertexId(const std::string& path, size_t line_no,
-                     const std::string& line, const char* what, size_t& pos,
+                     std::string_view line, const char* what, size_t& pos,
                      uint64_t* out) {
   while (pos < line.size() && IsFieldSeparator(line[pos])) ++pos;
   if (pos >= line.size()) {
@@ -102,33 +103,69 @@ Status ParseVertexId(const std::string& path, size_t line_no,
   return Status::OK();
 }
 
+/// Parses one text line (without its '\n'): blank and comment lines are
+/// skipped, a data line appends its edge.
+Status ParseEdgeLine(const std::string& path, size_t line_no,
+                     std::string_view line, EdgeList& edges) {
+  size_t pos = 0;
+  while (pos < line.size() && IsFieldSeparator(line[pos])) ++pos;
+  if (pos >= line.size() || line[pos] == '#' || line[pos] == '%') {
+    return Status::OK();
+  }
+  uint64_t u = 0;
+  uint64_t v = 0;
+  KCORE_RETURN_IF_ERROR(ParseVertexId(path, line_no, line, "source", pos, &u));
+  KCORE_RETURN_IF_ERROR(ParseVertexId(path, line_no, line, "target", pos, &v));
+  // Anything after the two endpoints (weights, timestamps) is ignored, as
+  // long as it is whitespace-separated — checked by ParseVertexId above.
+  edges.push_back({u, v});
+  return Status::OK();
+}
+
 }  // namespace
 
 StatusOr<EdgeList> LoadEdgeListText(const std::string& path) {
-  std::ifstream in(path);
-  if (!in.is_open()) {
+  FilePtr file(std::fopen(path.c_str(), "rb"));
+  if (file == nullptr) {
     return Status::IOError("cannot open " + path);
   }
-  EdgeList edges;
-  std::string line;
+  // The file is read in fixed-size chunks and parsed in place; the partial
+  // line at the end of a chunk is moved to the front of the buffer and
+  // completed by the next read (the buffer grows only for a line longer
+  // than a chunk).
+  constexpr size_t kChunk = 64 << 10;
+  std::vector<char> buffer(kChunk);
+  size_t carry = 0;
   size_t line_no = 0;
-  while (std::getline(in, line)) {
-    ++line_no;
-    size_t pos = 0;
-    while (pos < line.size() && IsFieldSeparator(line[pos])) ++pos;
-    if (pos >= line.size() || line[pos] == '#' || line[pos] == '%') continue;
-    uint64_t u = 0;
-    uint64_t v = 0;
-    KCORE_RETURN_IF_ERROR(
-        ParseVertexId(path, line_no, line, "source", pos, &u));
-    KCORE_RETURN_IF_ERROR(
-        ParseVertexId(path, line_no, line, "target", pos, &v));
-    // Anything after the two endpoints (weights, timestamps) is ignored, as
-    // long as it is whitespace-separated — checked by ParseVertexId above.
-    edges.push_back({u, v});
-  }
-  if (in.bad()) {
-    return Status::IOError("read error on " + path);
+  EdgeList edges;
+  for (bool at_eof = false; !at_eof;) {
+    if (buffer.size() - carry < kChunk) buffer.resize(carry + kChunk);
+    const size_t want = buffer.size() - carry;
+    const size_t got = std::fread(buffer.data() + carry, 1, want, file.get());
+    if (got < want) {
+      if (std::ferror(file.get()) != 0) {
+        return Status::IOError("read error on " + path);
+      }
+      at_eof = true;
+    }
+    const std::string_view data(buffer.data(), carry + got);
+    size_t begin = 0;
+    for (size_t end; (end = data.find('\n', begin)) != data.npos;
+         begin = end + 1) {
+      KCORE_RETURN_IF_ERROR(
+          ParseEdgeLine(path, ++line_no, data.substr(begin, end - begin),
+                        edges));
+    }
+    const std::string_view rest = data.substr(begin);
+    if (at_eof) {
+      // A last line without a trailing newline is still a line.
+      if (!rest.empty()) {
+        KCORE_RETURN_IF_ERROR(ParseEdgeLine(path, ++line_no, rest, edges));
+      }
+    } else {
+      std::memmove(buffer.data(), rest.data(), rest.size());
+      carry = rest.size();
+    }
   }
   return edges;
 }

@@ -1,5 +1,7 @@
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
+#include <cstring>
 #include <limits>
 #include <memory>
 #include <numeric>
@@ -145,6 +147,31 @@ TEST(LaunchTest, CrossBlockAtomicsAreReal) {
   EXPECT_EQ(counter->data()[0], 16u * 32);
 }
 
+TEST(LaunchTest, SharedAllocReadsZerosAfterPriorLaunchScribbled) {
+  // Arenas are uninitialized and recycled across blocks and launches, so
+  // SharedAlloc's zeroing is all that separates a block from the bytes an
+  // earlier block left behind.
+  Device device;
+  const uint32_t words = device.options().shared_mem_per_block / 4;
+  constexpr uint32_t kBlocks = 64;
+  ASSERT_TRUE(device.Launch(kBlocks, 32, [&](auto& block) {
+    uint32_t* s = block.template SharedAlloc<uint32_t>(words);
+    std::fill(s, s + words, 0xFFFFFFFFu);
+  })
+                  .ok());
+  std::atomic<uint64_t> nonzero{0};
+  std::atomic<uint32_t> blocks_run{0};
+  ASSERT_TRUE(device.Launch(kBlocks, 32, [&](auto& block) {
+    const uint32_t* s = block.template SharedAlloc<uint32_t>(words);
+    nonzero += static_cast<uint64_t>(
+        std::count_if(s, s + words, [](uint32_t w) { return w != 0; }));
+    ++blocks_run;
+  })
+                  .ok());
+  EXPECT_EQ(blocks_run.load(), kBlocks);
+  EXPECT_EQ(nonzero.load(), 0u);
+}
+
 TEST(LaunchTest, ModeledTimeGrowsWithWork) {
   Device device;
   ASSERT_TRUE(device.Launch(4, 32, [&](auto& block) {
@@ -173,6 +200,44 @@ TEST(BlockTest, SharedAllocZeroedAndBudgeted) {
   EXPECT_EQ(a[0], 7u);  // distinct regions
   EXPECT_NE(static_cast<void*>(a), static_cast<void*>(b));
   EXPECT_GE(block.shared_used(), 800u);
+}
+
+TEST(BlockTest, SharedAllocZeroedAfterArenaReuse) {
+  const std::byte* first_arena = nullptr;
+  {
+    BlockCtx block(0, 1, 64, 1024);
+    auto* bytes = block.SharedAlloc<uint8_t>(1024);
+    std::memset(bytes, 0xFF, 1024);
+    first_arena = block.shared_data();
+  }
+  {
+    // The next block on this thread recycles the scribbled arena...
+    BlockCtx block(0, 1, 64, 1024);
+    EXPECT_EQ(block.shared_data(), first_arena);
+    // ...and still reads zeros from every region it allocates.
+    auto* words = block.SharedAlloc<uint32_t>(100);
+    for (int i = 0; i < 100; ++i) EXPECT_EQ(words[i], 0u);
+    const size_t left = 1024 - block.shared_used();
+    auto* rest = block.SharedAlloc<uint8_t>(left);
+    for (size_t i = 0; i < left; ++i) EXPECT_EQ(rest[i], 0u);
+  }
+  {
+    // Two blocks alive on one thread never share storage.
+    BlockCtx a(0, 2, 64, 1024);
+    BlockCtx b(1, 2, 64, 1024);
+    const std::byte* pa = a.shared_data();
+    const std::byte* pb = b.shared_data();
+    EXPECT_TRUE(pa + 1024 <= pb || pb + 1024 <= pa);
+  }
+  // A recycled arena larger than the block's budget leaves the budget
+  // where it was.
+  EXPECT_DEATH(
+      {
+        { BlockCtx big(0, 1, 64, 4096); }
+        BlockCtx small(0, 1, 64, 1024);
+        small.SharedAlloc<uint8_t>(1025);
+      },
+      "");
 }
 
 TEST(BlockTest, ForEachWarpCoversAllWarps) {

@@ -1,8 +1,14 @@
+#include <algorithm>
 #include <cstdio>
+#include <limits>
 #include <string>
+#include <unordered_map>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/random.h"
+#include "common/strings.h"
 #include "generators/citation.h"
 #include "generators/generators.h"
 #include "graph/csr_graph.h"
@@ -17,6 +23,18 @@ namespace {
 
 std::string TempPath(const std::string& name) {
   return ::testing::TempDir() + "/" + name;
+}
+
+/// Writes `text` verbatim (binary mode: CRLFs and NULs survive) to a temp
+/// file and returns its path.
+std::string WriteTemp(const std::string& name, const std::string& text) {
+  const std::string path = TempPath(name);
+  std::FILE* f = std::fopen(path.c_str(), "wb");
+  EXPECT_NE(f, nullptr);
+  if (f == nullptr) return path;
+  EXPECT_EQ(std::fwrite(text.data(), 1, text.size(), f), text.size());
+  std::fclose(f);
+  return path;
 }
 
 // -------------------------------------------------------------- CsrGraph --
@@ -131,6 +149,152 @@ TEST(GraphBuilderTest, DirectedKeepsOneDirection) {
   EXPECT_EQ(built->graph.Degree(2), 1u);
 }
 
+/// The sort-based builder BuildGraph replaced, kept as the oracle for its
+/// output: id_map pass, counting scatter into CSR slots, then a comparison
+/// sort and optional dedup of every adjacency list.
+StatusOr<BuiltGraph> SortBasedBuildGraph(const EdgeList& edges,
+                                         const BuildOptions& options) {
+  BuiltGraph out;
+  std::unordered_map<uint64_t, VertexId> id_map;
+  uint64_t max_raw_id = 0;
+  if (options.recode_ids) {
+    for (const RawEdge& e : edges) {
+      for (uint64_t raw : {e.u, e.v}) {
+        if (options.remove_self_loops && e.u == e.v) continue;
+        id_map.emplace(raw, static_cast<VertexId>(id_map.size()));
+      }
+    }
+  } else {
+    for (const RawEdge& e : edges) {
+      max_raw_id = std::max({max_raw_id, e.u, e.v});
+    }
+    if (!edges.empty() &&
+        max_raw_id >= std::numeric_limits<VertexId>::max()) {
+      return Status::InvalidArgument(
+          StrFormat("vertex ID %llu exceeds dense range; enable recode_ids",
+                    static_cast<unsigned long long>(max_raw_id)));
+    }
+  }
+  const VertexId num_vertices =
+      options.recode_ids
+          ? static_cast<VertexId>(id_map.size())
+          : (edges.empty() ? 0 : static_cast<VertexId>(max_raw_id + 1));
+  auto dense = [&](uint64_t raw) -> VertexId {
+    return options.recode_ids ? id_map.find(raw)->second
+                              : static_cast<VertexId>(raw);
+  };
+
+  std::vector<EdgeIndex> offsets(static_cast<size_t>(num_vertices) + 1, 0);
+  for (const RawEdge& e : edges) {
+    if (options.remove_self_loops && e.u == e.v) continue;
+    ++offsets[dense(e.u) + 1];
+    if (options.make_undirected) ++offsets[dense(e.v) + 1];
+  }
+  for (VertexId v = 0; v < num_vertices; ++v) offsets[v + 1] += offsets[v];
+  std::vector<VertexId> neighbors(offsets[num_vertices]);
+  std::vector<EdgeIndex> cursor(offsets.begin(), offsets.end() - 1);
+  for (const RawEdge& e : edges) {
+    if (options.remove_self_loops && e.u == e.v) continue;
+    const VertexId u = dense(e.u);
+    const VertexId v = dense(e.v);
+    neighbors[cursor[u]++] = v;
+    if (options.make_undirected) neighbors[cursor[v]++] = u;
+  }
+
+  std::vector<EdgeIndex> new_offsets(static_cast<size_t>(num_vertices) + 1);
+  EdgeIndex write = 0;
+  for (VertexId v = 0; v < num_vertices; ++v) {
+    const auto begin = static_cast<ptrdiff_t>(offsets[v]);
+    const auto end = static_cast<ptrdiff_t>(offsets[v + 1]);
+    std::sort(neighbors.begin() + begin, neighbors.begin() + end);
+    new_offsets[v] = write;
+    VertexId prev = std::numeric_limits<VertexId>::max();
+    for (auto i = begin; i < end; ++i) {
+      if (options.dedup && neighbors[i] == prev) continue;
+      prev = neighbors[i];
+      neighbors[write++] = neighbors[i];
+    }
+  }
+  new_offsets[num_vertices] = write;
+  neighbors.resize(write);
+  out.graph = CsrGraph(std::move(new_offsets), std::move(neighbors));
+  if (options.recode_ids) {
+    out.original_ids.resize(num_vertices);
+    for (const auto& [raw, id] : id_map) out.original_ids[id] = raw;
+  }
+  return out;
+}
+
+/// A seeded random edge list mixing every shape the builder must handle:
+/// duplicate edges (both orientations), self-loops, two dense id ranges with
+/// an isolated gap between them, and (when `sparse`) arbitrary 64-bit ids.
+EdgeList RandomEdgeList(uint64_t seed, bool sparse) {
+  Rng rng(seed);
+  const size_t count = 1 + rng.UniformInt(400);
+  std::vector<uint64_t> pool;
+  const size_t ids = 1 + rng.UniformInt(60);
+  for (size_t i = 0; i < ids; ++i) {
+    if (sparse && rng.UniformReal() < 0.3) {
+      pool.push_back(rng.Next());
+    } else {
+      // [0, 40) and [500, 540): ids 40..499 stay isolated.
+      const uint64_t id = rng.UniformInt(40);
+      pool.push_back(rng.UniformReal() < 0.5 ? id : 500 + id);
+    }
+  }
+  EdgeList edges;
+  for (size_t i = 0; i < count; ++i) {
+    const double shape = rng.UniformReal();
+    if (shape < 0.1) {
+      const uint64_t x = pool[rng.UniformInt(pool.size())];
+      edges.push_back({x, x});
+    } else if (shape < 0.3 && !edges.empty()) {
+      RawEdge again = edges[rng.UniformInt(edges.size())];
+      if (rng.UniformReal() < 0.5) std::swap(again.u, again.v);
+      edges.push_back(again);
+    } else {
+      edges.push_back({pool[rng.UniformInt(pool.size())],
+                       pool[rng.UniformInt(pool.size())]});
+    }
+  }
+  return edges;
+}
+
+TEST(GraphBuilderTest, CountingBuildMatchesSortBasedOracle) {
+  int compared = 0;
+  for (uint64_t seed = 1; seed <= 60; ++seed) {
+    const EdgeList edges = RandomEdgeList(seed, /*sparse=*/seed % 3 == 0);
+    for (int mask = 0; mask < 16; ++mask) {
+      BuildOptions options;
+      options.make_undirected = (mask & 1) != 0;
+      options.remove_self_loops = (mask & 2) != 0;
+      options.dedup = (mask & 4) != 0;
+      options.recode_ids = (mask & 8) != 0;
+      SCOPED_TRACE(StrFormat("seed %llu options mask %d",
+                             static_cast<unsigned long long>(seed), mask));
+      auto got = BuildGraph(edges, options);
+      auto want = SortBasedBuildGraph(edges, options);
+      ASSERT_EQ(got.ok(), want.ok());
+      if (!got.ok()) {
+        EXPECT_EQ(got.status().ToString(), want.status().ToString());
+        continue;
+      }
+      EXPECT_EQ(got->graph.offsets(), want->graph.offsets());
+      EXPECT_EQ(got->graph.neighbors(), want->graph.neighbors());
+      EXPECT_EQ(got->original_ids, want->original_ids);
+      // Sorted lists are the builder's own contract, dedup or not.
+      for (VertexId v = 0; v < got->graph.NumVertices(); ++v) {
+        const auto nbrs = got->graph.Neighbors(v);
+        EXPECT_TRUE(std::is_sorted(nbrs.begin(), nbrs.end()));
+      }
+      ++compared;
+    }
+  }
+  // The sparse lists only build with recoding; everything else must have
+  // been compared, not skipped as a matching failure.
+  EXPECT_GT(compared, 60 * 16 * 3 / 4);
+}
+
 // ---------------------------------------------------------------- IO -----
 
 TEST(GraphIoTest, EdgeListTextRoundTrip) {
@@ -204,6 +368,74 @@ TEST(GraphIoTest, EdgeListRejectsOverflowAndStuckTokens) {
   std::fputs("1 2x\n", f);  // target runs into garbage
   std::fclose(f);
   EXPECT_TRUE(LoadEdgeListText(stuck).status().IsInvalidArgument());
+}
+
+TEST(GraphIoTest, EdgeListLineEndings) {
+  const EdgeList want = {{0, 1}, {2, 3}};
+  // A last line without its newline, CRLF endings, trailing blank lines and
+  // a whitespace-only line all load the same two edges.
+  for (const char* text :
+       {"0 1\n2 3", "0 1\r\n2 3\r\n", "0 1\n2 3\n\n\n",
+        "0 1\n \t \r\n2 3\n", "0 1\r\n\r\n2 3\r\n\r\n"}) {
+    auto loaded = LoadEdgeListText(WriteTemp("endings.txt", text));
+    ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+    EXPECT_EQ(*loaded, want) << "input: " << text;
+  }
+}
+
+TEST(GraphIoTest, EmptyEdgeListFileLoadsNoEdges) {
+  auto loaded = LoadEdgeListText(WriteTemp("empty.txt", ""));
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_TRUE(loaded->empty());
+}
+
+TEST(GraphIoTest, EdgeListErrorNamesLineAfterComments) {
+  const std::string path =
+      WriteTemp("late_error.txt", "# header\n% konect\n0 1\n\n# more\nx y\n");
+  EXPECT_EQ(LoadEdgeListText(path).status().ToString(),
+            Status::InvalidArgument(path +
+                                    ":6: non-numeric source token: 'x y'")
+                .ToString());
+  // The same on an unterminated last line, and for every message kind.
+  const std::string tail = WriteTemp("late_tail.txt", "# c\n0 1\n7");
+  EXPECT_EQ(LoadEdgeListText(tail).status().message(),
+            tail + ":3: truncated edge line (missing target): '7'");
+  const std::string neg = WriteTemp("late_neg.txt", "\n\n4 -1\r\n");
+  EXPECT_EQ(LoadEdgeListText(neg).status().message(),
+            neg + ":3: negative vertex id for target: '4 -1\r'");
+  const std::string big = WriteTemp(
+      "late_big.txt", "% c\n99999999999999999999 1 0123456789012345678\n");
+  EXPECT_EQ(LoadEdgeListText(big).status().message(),
+            big +
+                ":2: vertex id overflows 64 bits for source: "
+                "'99999999999999999999 1 01234567890123456...'");
+}
+
+TEST(GraphIoTest, EdgeListLinesSplitAcrossReadChunks) {
+  // Well past 64 KiB, with a line straddling every 64 KiB boundary (line
+  // lengths are coprime with the boundary), one line longer than 64 KiB
+  // and an error after it.
+  std::string text;
+  EdgeList want;
+  for (uint64_t i = 0; text.size() < (200u << 10); ++i) {
+    const uint64_t u = i * 7919 % 100003;
+    text += std::to_string(u) + "\t" + std::to_string(i) + "\n";
+    want.push_back({u, i});
+    if (i == 5000) {
+      text += "3 4 " + std::string(70u << 10, '9') + "\n";
+      want.push_back({3, 4});
+    }
+  }
+  const std::string path = WriteTemp("big.txt", text);
+  auto loaded = LoadEdgeListText(path);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_EQ(*loaded, want);
+
+  const size_t lines = want.size();
+  const std::string bad = WriteTemp("big_bad.txt", text + "5 6x\n");
+  EXPECT_EQ(LoadEdgeListText(bad).status().message(),
+            StrFormat("%s:%zu: non-numeric target token: '5 6x'", bad.c_str(),
+                      lines + 1));
 }
 
 TEST(GraphIoTest, MissingFileIsIOError) {

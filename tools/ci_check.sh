@@ -370,6 +370,13 @@ grep -q '^degraded            yes' <<< "$cluster_lost" || {
   echo "cluster node-loss: recovery summary missing degraded marker" >&2
   exit 1; }
 
+echo "=== release: benchmark smoke (perfbench/smoke_test.py) ==="
+# Builds the benchmark program against this checkout's src/ and runs every
+# workload at a tiny size with its result checks, so a src/ change that
+# breaks the benchmark's build or its oracle checks fails here, not in a
+# benchmark run.
+python3 perfbench/smoke_test.py
+
 echo "=== asan: configure + build ==="
 cmake --preset asan
 cmake --build --preset asan -j "$(nproc)"
