@@ -99,6 +99,10 @@ TEST(BlockBallotScanTest, CheaperThanHillisSteeleBlockScan) {
 
 struct StrategyCase {
   ExpandStrategy strategy;
+  // Occupies what would be padding after `strategy`: gtest_discover_tests
+  // names each case by the raw bytes of its parameter, and uninitialized
+  // padding bytes made those ctest names change from run to run.
+  uint32_t zero = 0;
   std::string name;
 };
 
@@ -176,10 +180,10 @@ TEST_P(ExpandStrategyTest, BinMetersCoverEveryFrontierVertex) {
 
 INSTANTIATE_TEST_SUITE_P(
     AllStrategies, ExpandStrategyTest,
-    ::testing::Values(StrategyCase{ExpandStrategy::kThread, "Thread"},
-                      StrategyCase{ExpandStrategy::kWarp, "Warp"},
-                      StrategyCase{ExpandStrategy::kBlock, "Block"},
-                      StrategyCase{ExpandStrategy::kAuto, "Auto"}),
+    ::testing::Values(StrategyCase{ExpandStrategy::kThread, 0, "Thread"},
+                      StrategyCase{ExpandStrategy::kWarp, 0, "Warp"},
+                      StrategyCase{ExpandStrategy::kBlock, 0, "Block"},
+                      StrategyCase{ExpandStrategy::kAuto, 0, "Auto"}),
     [](const ::testing::TestParamInfo<StrategyCase>& info) {
       return info.param.name;
     });
