@@ -33,7 +33,8 @@
 // any committed BENCH_incremental.json cell ($KCORE_BENCH_INCREMENTAL_JSON,
 // else ./BENCH_incremental.json) drifts by more than 15%; absent committed
 // file = loud skip. BENCH_incremental.json itself is written by
-// bench_incremental, never by this harness.
+// bench_incremental, never by this harness. Every guard runs and prints its
+// verdict before a failing one fails the run (exit 1, nothing written).
 //
 // An eighth "cluster" section is the same kind of check-only drift guard
 // over the committed BENCH_cluster.json ($KCORE_BENCH_CLUSTER_JSON, else
@@ -100,6 +101,29 @@ std::string MetricsJson(const Metrics& m) {
   json += "\"barriers\": " + U64(c.barriers);
   json += "}}";
   return json;
+}
+
+/// The whole file at `path`, or "" when it cannot be read.
+std::string ReadFileOrEmpty(const std::string& path) {
+  std::string text;
+  if (std::FILE* in = std::fopen(path.c_str(), "rb")) {
+    char buf[4096];
+    size_t got;
+    while ((got = std::fread(buf, 1, sizeof(buf), in)) > 0) {
+      text.append(buf, got);
+    }
+    std::fclose(in);
+  }
+  return text;
+}
+
+/// Parses the number after the first `key` in text[from, until) into *out.
+bool FindNumber(const std::string& text, size_t from, const char* key,
+                size_t until, double* out) {
+  const size_t at = text.find(key, from);
+  if (at == std::string::npos || at >= until) return false;
+  *out = std::strtod(text.c_str() + at + std::strlen(key), nullptr);
+  return true;
 }
 
 /// Relative disagreement between a trace-derived phase total and the engine's
@@ -405,6 +429,8 @@ int main(int argc, char** argv) {
     json += "}";
   }
   json += "\n  ],\n  \"incremental\": ";
+  // Set by a drift guard that fails; checked once both guards have run.
+  bool guard_failed = false;
 
   // ---- Seventh section: incremental-maintenance drift guard -------------
   // Re-measures the per-cell mean modeled ms of the incremental sweeps and
@@ -423,15 +449,7 @@ int main(int argc, char** argv) {
     if (const char* env = std::getenv("KCORE_BENCH_INCREMENTAL_JSON")) {
       inc_path = env;
     }
-    std::string committed;
-    if (std::FILE* in = std::fopen(inc_path.c_str(), "rb")) {
-      char buf[4096];
-      size_t got;
-      while ((got = std::fread(buf, 1, sizeof(buf), in)) > 0) {
-        committed.append(buf, got);
-      }
-      std::fclose(in);
-    }
+    const std::string committed = ReadFileOrEmpty(inc_path);
     if (committed.empty()) {
       std::fprintf(stderr,
                    "incremental drift guard: %s not found, skipping\n",
@@ -443,14 +461,6 @@ int main(int argc, char** argv) {
       //    "mean_batch_ms": M, ...}, ...]}
       // and re-measure every cell whose dataset is in the (possibly
       // capped) roster.
-      const auto find_number = [](const std::string& text, size_t from,
-                                  const char* key, size_t until,
-                                  double* out) {
-        const size_t at = text.find(key, from);
-        if (at == std::string::npos || at >= until) return false;
-        *out = std::strtod(text.c_str() + at + std::strlen(key), nullptr);
-        return true;
-      };
       uint64_t cells_checked = 0;
       double max_drift = 0.0;
       bool drifted = false;
@@ -463,8 +473,8 @@ int main(int argc, char** argv) {
         const size_t entry_end = committed.find("]}", entry);
         if (entry_end == std::string::npos) continue;
         double committed_edges = 0.0;
-        if (find_number(committed, entry, "\"edges\": ", entry_end,
-                        &committed_edges) &&
+        if (FindNumber(committed, entry, "\"edges\": ", entry_end,
+                       &committed_edges) &&
             max_edges != 0 && committed_edges > static_cast<double>(max_edges)) {
           continue;
         }
@@ -480,10 +490,10 @@ int main(int argc, char** argv) {
           if (cell == std::string::npos || cell >= entry_end) break;
           double batch = 0.0;
           double committed_ms = 0.0;
-          if (!find_number(committed, cell, "\"batch\": ", entry_end,
-                           &batch) ||
-              !find_number(committed, cell, "\"mean_batch_ms\": ", entry_end,
-                           &committed_ms)) {
+          if (!FindNumber(committed, cell, "\"batch\": ", entry_end,
+                          &batch) ||
+              !FindNumber(committed, cell, "\"mean_batch_ms\": ", entry_end,
+                          &committed_ms)) {
             break;
           }
           IncrementalSweepResult sweep;
@@ -524,13 +534,16 @@ int main(int argc, char** argv) {
           static_cast<unsigned long long>(cells_checked),
           100.0 * max_drift);
       if (drifted) {
+        guard_failed = true;
         std::fprintf(stderr,
                      "incremental drift guard failed: regenerate "
                      "BENCH_incremental.json (tolerance 15%%)\n");
-        return 1;
+      } else {
+        std::printf("incremental drift guard: %llu cells within 15%% (max "
+                    "drift %.1f%%)\n",
+                    static_cast<unsigned long long>(cells_checked),
+                    100.0 * max_drift);
       }
-      std::printf("incremental drift guard: %llu cells within 15%%\n",
-                  static_cast<unsigned long long>(cells_checked));
     }
   }
   json += ",\n  \"cluster\": ";
@@ -546,28 +559,12 @@ int main(int argc, char** argv) {
     if (const char* env = std::getenv("KCORE_BENCH_CLUSTER_JSON")) {
       cluster_path = env;
     }
-    std::string committed;
-    if (std::FILE* in = std::fopen(cluster_path.c_str(), "rb")) {
-      char buf[4096];
-      size_t got;
-      while ((got = std::fread(buf, 1, sizeof(buf), in)) > 0) {
-        committed.append(buf, got);
-      }
-      std::fclose(in);
-    }
+    const std::string committed = ReadFileOrEmpty(cluster_path);
     if (committed.empty()) {
       std::fprintf(stderr, "cluster drift guard: %s not found, skipping\n",
                    cluster_path.c_str());
       json += "{\"guard\": \"skipped\", \"reason\": \"no committed file\"}";
     } else {
-      const auto find_number = [](const std::string& text, size_t from,
-                                  const char* key, size_t until,
-                                  double* out) {
-        const size_t at = text.find(key, from);
-        if (at == std::string::npos || at >= until) return false;
-        *out = std::strtod(text.c_str() + at + std::strlen(key), nullptr);
-        return true;
-      };
       uint64_t cells_checked = 0;
       double max_drift = 0.0;
       bool drifted = false;
@@ -580,8 +577,8 @@ int main(int argc, char** argv) {
         const size_t entry_end = committed.find("]}", entry);
         if (entry_end == std::string::npos) continue;
         double committed_edges = 0.0;
-        if (find_number(committed, entry, "\"edges\": ", entry_end,
-                        &committed_edges) &&
+        if (FindNumber(committed, entry, "\"edges\": ", entry_end,
+                       &committed_edges) &&
             max_edges != 0 &&
             committed_edges > static_cast<double>(max_edges)) {
           continue;
@@ -599,10 +596,10 @@ int main(int argc, char** argv) {
           double nodes = 0.0;
           double committed_ms = 0.0;
           const size_t name_at = committed.find("\"partition\": \"", cell);
-          if (!find_number(committed, cell, "\"nodes\": ", entry_end,
-                           &nodes) ||
-              !find_number(committed, cell, "\"modeled_ms\": ", entry_end,
-                           &committed_ms) ||
+          if (!FindNumber(committed, cell, "\"nodes\": ", entry_end,
+                          &nodes) ||
+              !FindNumber(committed, cell, "\"modeled_ms\": ", entry_end,
+                          &committed_ms) ||
               name_at == std::string::npos || name_at >= entry_end) {
             break;
           }
@@ -657,16 +654,24 @@ int main(int argc, char** argv) {
           static_cast<unsigned long long>(cells_checked),
           100.0 * max_drift);
       if (drifted) {
+        guard_failed = true;
         std::fprintf(stderr,
                      "cluster drift guard failed: regenerate "
                      "BENCH_cluster.json (tolerance 15%%)\n");
-        return 1;
+      } else {
+        std::printf("cluster drift guard: %llu cells within 15%% (max "
+                    "drift %.1f%%)\n",
+                    static_cast<unsigned long long>(cells_checked),
+                    100.0 * max_drift);
       }
-      std::printf("cluster drift guard: %llu cells within 15%%\n",
-                  static_cast<unsigned long long>(cells_checked));
     }
   }
   json += "\n}\n";
+  if (guard_failed) {
+    std::fprintf(stderr, "drift guards failed: %s not written\n",
+                 path.c_str());
+    return 1;
+  }
 
   std::FILE* f = std::fopen(path.c_str(), "w");
   if (f == nullptr) {

@@ -3,12 +3,12 @@
 #include <algorithm>
 #include <atomic>
 #include <memory>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "common/strings.h"
 #include "common/timer.h"
+#include "core/delta_buffer.h"
 #include "core/resilience.h"
 #include "cpu/pkc.h"
 #include "perf/cost_model.h"
@@ -19,8 +19,8 @@ namespace kcore {
 namespace {
 
 /// One device of one node: a contiguous slice of the node's owned-vertex
-/// list, its CSR resident in its own device memory, and outgoing delta
-/// buffers (intra-node and per-foreign-node).
+/// list, its CSR resident in its own device memory, and its outgoing delta
+/// buffer.
 struct NodeDevice {
   /// Slice [slice_begin, slice_end) of the owning node's `owned` list.
   size_t slice_begin = 0;
@@ -30,13 +30,12 @@ struct NodeDevice {
   sim::DeviceArray<VertexId> d_neighbors;  // global endpoint IDs
   sim::DeviceArray<uint32_t> d_deg;        // owned slice only
   sim::DeviceArray<VertexId> d_buffer;     // local frontier buffer
-  /// Decrements for vertices of the same node but another device, applied
-  /// by the master between sub-rounds at intra-node (no network) cost.
-  std::unordered_map<VertexId, uint32_t> intra_updates;
-  /// Decrements for foreign-node masters, keyed by destination node;
-  /// drained into the ClusterNetwork per sub-round (where per-link
-  /// aggregation across this node's devices happens).
-  std::unordered_map<uint32_t, std::unordered_map<VertexId, uint32_t>> outbox;
+  /// Decrements for vertices this device does not hold, drained by the
+  /// master per sub-round: those of the same node (another device) apply
+  /// at intra-node (no network) cost, foreign-node ones go into the
+  /// ClusterNetwork (where per-link aggregation across this node's devices
+  /// happens).
+  DeltaBuffer deltas;
   PerfCounters counters;  // per-sub-round, merged by master
   /// Per-slice active-vertex compaction (same policy as the multi-GPU
   /// workers): positions into the node's owned list.
@@ -78,7 +77,7 @@ StatusOr<DecomposeResult> RunClusterPeel(const CsrGraph& graph,
   const uint32_t num_lanes = num_nodes * devices_per_node;
   DecomposeResult result;
   ModeledClock clock(GpuNativeCostModel());
-  ClusterNetwork network(num_nodes, options.network);
+  ClusterNetwork network(num_nodes, n, options.network);
   ThreadPool& pool =
       options.pool != nullptr ? *options.pool : DefaultThreadPool();
 
@@ -150,6 +149,7 @@ StatusOr<DecomposeResult> RunClusterPeel(const CsrGraph& graph,
       }
       nodes[node].devices[d].device =
           std::make_unique<sim::Device>(device_options);
+      nodes[node].devices[d].deltas = DeltaBuffer(n);
     }
   }
   bool any_faults = false;
@@ -201,8 +201,7 @@ StatusOr<DecomposeResult> RunClusterPeel(const CsrGraph& graph,
     if (d + 1 == devices_per_node) dev.slice_end = owned.size();
     dev.use_active = false;
     dev.active.clear();
-    dev.intra_updates.clear();
-    dev.outbox.clear();
+    dev.deltas.Clear();
     const size_t local_n = dev.slice_end - dev.slice_begin;
 
     std::vector<EdgeIndex> offsets(local_n + 1, 0);
@@ -323,8 +322,7 @@ StatusOr<DecomposeResult> RunClusterPeel(const CsrGraph& graph,
             dev.d_buffer.Reset();
             dev.active.clear();
             dev.use_active = false;
-            dev.intra_updates.clear();
-            dev.outbox.clear();
+            dev.deltas.Clear();
           }
         }
       }
@@ -393,8 +391,7 @@ StatusOr<DecomposeResult> RunClusterPeel(const CsrGraph& graph,
       for (NodeDevice& dev : node.devices) {
         dev.use_active = false;
         dev.active.clear();
-        dev.intra_updates.clear();
-        dev.outbox.clear();
+        dev.deltas.Clear();
         const size_t local_n = dev.slice_end - dev.slice_begin;
         std::vector<uint32_t> deg(std::max<size_t>(1, local_n), 0);
         uint64_t removed_in_slice = 0;
@@ -442,7 +439,7 @@ StatusOr<DecomposeResult> RunClusterPeel(const CsrGraph& graph,
   uint32_t k = 0;
   const uint32_t k_limit = graph.MaxDegree() + 2;
   std::vector<uint32_t> post_deg;
-  std::vector<std::unordered_map<VertexId, uint32_t>> inboxes(num_nodes);
+  std::vector<DeltaBuffer> inboxes(num_nodes, DeltaBuffer(n));
   // Comm/compute overlap: exchange time not yet charged to the clock,
   // hidden behind the next sub-round's compute (ClusterOptions::overlap).
   double pending_comm_ns = 0.0;
@@ -544,8 +541,7 @@ StatusOr<DecomposeResult> RunClusterPeel(const CsrGraph& graph,
           }
         }
         // Local cascade. Intra-slice decrements apply directly; same-node
-        // other-device ones buffer at intra-node cost; foreign-node ones
-        // buffer into the per-destination outbox for the network.
+        // other-device and foreign-node ones buffer for the master.
         uint64_t processed = 0;
         while (head < tail) {
           const size_t slot = buffer[head++];
@@ -571,12 +567,12 @@ StatusOr<DecomposeResult> RunClusterPeel(const CsrGraph& graph,
                   }
                 }
               } else {
-                ++dev.intra_updates[u];
+                dev.deltas.Add(u);
                 ++c.global_atomics;
               }
             } else {
               // Border edge: buffer the decrement for the network.
-              ++dev.outbox[u_node][u];
+              dev.deltas.Add(u);
               ++c.messages;
             }
           }
@@ -638,24 +634,35 @@ StatusOr<DecomposeResult> RunClusterPeel(const CsrGraph& graph,
         return Status::DeviceLost("cluster node lost mid-round");
       }
 
-      // --- Master, phase 1: intra-node deltas (same node, other device) —
-      // applied at intra-node cost, no network traffic. ---
+      // Clamp at k: decrements past the k-shell boundary are exactly the
+      // ones the single-GPU kernel rolls back. Each vertex clamps on its
+      // own, so the drain order cannot move the result.
+      const auto apply = [&](VertexId u, uint32_t count) -> uint32_t {
+        uint32_t& du = deg_of(u);
+        if (du <= k) return 0;
+        const uint32_t applied = std::min(count, du - k);
+        du -= applied;
+        return applied;
+      };
+
+      // --- Master: drain every device's buffer. Intra-node deltas (same
+      // node, other device) apply at intra-node cost, no network traffic;
+      // foreign-node ones go into the network, where per-link aggregation
+      // across a node's devices happens. All intra-node deltas land before
+      // any border delta. ---
       uint64_t intra_applied = 0;
       uint64_t intra_entries = 0;
-      for (Node& node : nodes) {
-        for (NodeDevice& dev : node.devices) {
-          intra_entries += dev.intra_updates.size();
-          for (const auto& [u, count] : dev.intra_updates) {
-            uint32_t& du = deg_of(u);
-            if (du > k) {
-              // Clamp at k: decrements past the k-shell boundary are
-              // exactly the ones the single-GPU kernel rolls back.
-              const uint32_t applied = std::min(count, du - k);
-              du -= applied;
-              intra_applied += applied;
+      for (uint32_t node_idx = 0; node_idx < num_nodes; ++node_idx) {
+        for (NodeDevice& dev : nodes[node_idx].devices) {
+          dev.deltas.Drain([&](VertexId u, uint32_t count) {
+            const uint32_t u_node = partition.owner[u];
+            if (u_node == node_idx) {
+              ++intra_entries;
+              intra_applied += apply(u, count);
+            } else {
+              network.Buffer(node_idx, u_node, u, count);
             }
-          }
-          dev.intra_updates.clear();
+          });
         }
       }
       if (intra_entries > 0) {
@@ -663,34 +670,17 @@ StatusOr<DecomposeResult> RunClusterPeel(const CsrGraph& graph,
                             static_cast<double>(intra_entries) * 8.0);
       }
 
-      // --- Master, phase 2: drain outboxes into the network (per-link
-      // aggregation across a node's devices happens here) and flush — one
-      // aggregated message per busy link per sub-round. ---
-      for (uint32_t node_idx = 0; node_idx < num_nodes; ++node_idx) {
-        for (NodeDevice& dev : nodes[node_idx].devices) {
-          for (auto& [dst, deltas] : dev.outbox) {
-            for (const auto& [u, count] : deltas) {
-              network.Buffer(node_idx, dst, u, count);
-            }
-          }
-          dev.outbox.clear();
-        }
-      }
+      // --- Master: flush — one aggregated message per busy link per
+      // sub-round — and apply the delivered deltas at their masters. ---
       const double exchange_start_ns = now_ns();
       const double comm_ns = network.Flush(&inboxes);
       uint64_t border_applied = 0;
       uint64_t border_entries = 0;
-      for (auto& inbox : inboxes) {
+      for (DeltaBuffer& inbox : inboxes) {
         border_entries += inbox.size();
-        for (const auto& [u, count] : inbox) {
-          uint32_t& du = deg_of(u);
-          if (du > k) {
-            const uint32_t applied = std::min(count, du - k);
-            du -= applied;
-            border_applied += applied;
-          }
-        }
-        inbox.clear();
+        inbox.Drain([&](VertexId u, uint32_t count) {
+          border_applied += apply(u, count);
+        });
       }
       if (border_entries > 0) {
         // Deserialize-and-apply at the receiving masters.

@@ -4,31 +4,37 @@
 
 namespace kcore {
 
-ClusterNetwork::ClusterNetwork(uint32_t num_nodes,
+ClusterNetwork::ClusterNetwork(uint32_t num_nodes, VertexId num_vertices,
                                const NetworkOptions& options)
     : num_nodes_(num_nodes),
       options_(options),
-      links_(static_cast<size_t>(num_nodes) * num_nodes),
+      outgoing_(num_nodes, Outgoing{DeltaBuffer(num_vertices), {}}),
+      link_entries_(num_nodes, 0),
       link_flushes_(static_cast<size_t>(num_nodes) * num_nodes, 0) {}
 
 void ClusterNetwork::Buffer(uint32_t src, uint32_t dst, VertexId v,
                             uint32_t count) {
-  links_[LinkIndex(src, dst)][v] += count;
+  Outgoing& out = outgoing_[src];
+  if (out.deltas.Add(v, count)) out.dst.push_back(dst);
 }
 
-double ClusterNetwork::Flush(
-    std::vector<std::unordered_map<VertexId, uint32_t>>* inboxes) {
+double ClusterNetwork::Flush(std::vector<DeltaBuffer>* inboxes) {
   // bytes/ns at 1 GB/s == 1 byte/ns.
   const double bytes_per_ns = options_.link_bandwidth_gbps;
   double max_send_ns = 0.0;
   bool any = false;
   for (uint32_t src = 0; src < num_nodes_; ++src) {
+    Outgoing& out = outgoing_[src];
+    if (out.deltas.empty()) continue;
+    any = true;
+    std::fill(link_entries_.begin(), link_entries_.end(), 0);
+    for (uint32_t dst : out.dst) ++link_entries_[dst];
+    // Links in destination order, so the send time sums exactly as a
+    // per-link walk would.
     double send_ns = 0.0;
     for (uint32_t dst = 0; dst < num_nodes_; ++dst) {
-      auto& link = links_[LinkIndex(src, dst)];
-      if (link.empty()) continue;
-      any = true;
-      const uint64_t entries = link.size();
+      const uint64_t entries = link_entries_[dst];
+      if (entries == 0) continue;
       const uint64_t bytes = MessageBytes(entries);
       send_ns += bytes_per_ns > 0.0
                      ? static_cast<double>(bytes) / bytes_per_ns
@@ -37,10 +43,12 @@ double ClusterNetwork::Flush(
       ++stats_.messages;
       stats_.entries += entries;
       stats_.bytes_on_wire += bytes;
-      auto& inbox = (*inboxes)[dst];
-      for (const auto& [v, count] : link) inbox[v] += count;
-      link.clear();
     }
+    size_t entry = 0;
+    out.deltas.Drain([&](VertexId v, uint32_t count) {
+      (*inboxes)[out.dst[entry++]].Add(v, count);
+    });
+    out.dst.clear();
     max_send_ns = std::max(max_send_ns, send_ns);
   }
   if (!any) return 0.0;
@@ -52,7 +60,7 @@ double ClusterNetwork::Flush(
 
 uint64_t ClusterNetwork::PendingEntries() const {
   uint64_t pending = 0;
-  for (const auto& link : links_) pending += link.size();
+  for (const Outgoing& out : outgoing_) pending += out.deltas.size();
   return pending;
 }
 

@@ -2,9 +2,9 @@
 #define KCORE_CLUSTER_NETWORK_H_
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
+#include "core/delta_buffer.h"
 #include "graph/csr_graph.h"
 
 namespace kcore {
@@ -44,25 +44,34 @@ struct NetworkStats {
 /// delivers the deltas to per-destination inboxes. The aggregation is the
 /// point: a sub-round's many border decrements to the same master collapse
 /// into one entry, and all entries for one link into one message.
+///
+/// Storage is one dense DeltaBuffer per source node (num_nodes x V words,
+/// not one per link): a vertex has exactly one master, so all of a
+/// source's deltas for `v` travel on the same link, and the link of each
+/// aggregated entry is recorded when the entry is first touched.
 class ClusterNetwork {
  public:
-  ClusterNetwork(uint32_t num_nodes, const NetworkOptions& options);
+  /// Vertex IDs passed to Buffer must be < num_vertices.
+  ClusterNetwork(uint32_t num_nodes, VertexId num_vertices,
+                 const NetworkOptions& options);
 
   uint32_t num_nodes() const { return num_nodes_; }
 
-  /// Buffers `count` decrements for vertex `v` on the src -> dst link.
-  /// Same-link entries for the same vertex aggregate in place. NOT
-  /// thread-safe — drain per-producer outboxes into it from one thread.
+  /// Buffers `count` (> 0) decrements for vertex `v` on the src -> dst
+  /// link. Same-link entries for the same vertex aggregate in place; `dst`
+  /// must be the same for every delta of `v` from `src` until the next
+  /// Flush (it is `v`'s master). NOT thread-safe — drain per-producer
+  /// buffers into it from one thread.
   void Buffer(uint32_t src, uint32_t dst, VertexId v, uint32_t count);
 
   /// Drains every busy link into inboxes[dst] (aggregated counts merged by
-  /// +=), charges the cost model, and returns the modeled exchange time in
-  /// ns: max over nodes of the serialized send time of that node's outgoing
-  /// messages, plus one link latency (all messages are in flight together;
-  /// the slowest sender gates the barrier). A flush with nothing pending
-  /// costs 0 and does not count as a flush. `inboxes` must hold num_nodes
-  /// maps.
-  double Flush(std::vector<std::unordered_map<VertexId, uint32_t>>* inboxes);
+  /// addition), charges the cost model, and returns the modeled exchange
+  /// time in ns: max over nodes of the serialized send time of that node's
+  /// outgoing messages, plus one link latency (all messages are in flight
+  /// together; the slowest sender gates the barrier). A flush with nothing
+  /// pending costs 0 and does not count as a flush. `inboxes` must hold
+  /// num_nodes buffers sized for the network's vertex count.
+  double Flush(std::vector<DeltaBuffer>* inboxes);
 
   /// Buffered entries not yet flushed (test hook).
   uint64_t PendingEntries() const;
@@ -85,10 +94,17 @@ class ClusterNetwork {
     return static_cast<size_t>(src) * num_nodes_ + dst;
   }
 
+  /// One source node's pending deltas: dst[i] is the link (destination
+  /// node) of deltas.touched()[i].
+  struct Outgoing {
+    DeltaBuffer deltas;
+    std::vector<uint32_t> dst;
+  };
+
   uint32_t num_nodes_;
   NetworkOptions options_;
-  /// links_[src * N + dst]: pending aggregated deltas for that link.
-  std::vector<std::unordered_map<VertexId, uint32_t>> links_;
+  std::vector<Outgoing> outgoing_;  // per source node
+  std::vector<uint64_t> link_entries_;  // Flush scratch, per destination
   std::vector<uint64_t> link_flushes_;
   NetworkStats stats_;
 };

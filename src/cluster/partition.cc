@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <numeric>
-#include <unordered_set>
 
 #include "common/strings.h"
 
@@ -244,9 +243,12 @@ bool ValidatePartition(const CsrGraph& graph,
     return fail("nodes vector mis-sized");
   }
   // Disjoint cover: every vertex appears in exactly the owned list its
-  // owner entry names, and the owned lists are sorted.
+  // owner entry names, and the owned lists are sorted. stamp[u] == node
+  // marks u as a foreign endpoint of node's owned adjacency (the expected
+  // mirror set), as in FinalizeFromOwner — O(V + E) over all nodes.
   uint64_t covered = 0;
   uint64_t total_cut = 0;
+  std::vector<uint32_t> stamp(n, UINT32_MAX);
   for (uint32_t node = 0; node < partition.num_nodes; ++node) {
     const NodePartition& share = partition.nodes[node];
     if (!std::is_sorted(share.owned.begin(), share.owned.end())) {
@@ -254,6 +256,7 @@ bool ValidatePartition(const CsrGraph& graph,
     }
     uint64_t mass = 0;
     uint64_t cut = 0;
+    size_t adjacent = 0;
     for (size_t i = 0; i < share.owned.size(); ++i) {
       const VertexId v = share.owned[i];
       if (v >= n) return fail(StrFormat("node %u owns out-of-range %u", node, v));
@@ -266,7 +269,12 @@ bool ValidatePartition(const CsrGraph& graph,
       }
       mass += graph.Degree(v);
       for (VertexId u : graph.Neighbors(v)) {
-        if (partition.owner[u] != node) ++cut;
+        if (partition.owner[u] == node) continue;
+        ++cut;
+        if (stamp[u] != node) {
+          stamp[u] = node;
+          ++adjacent;
+        }
       }
     }
     covered += share.owned.size();
@@ -282,15 +290,9 @@ bool ValidatePartition(const CsrGraph& graph,
     if (!std::is_sorted(share.mirrors.begin(), share.mirrors.end())) {
       return fail(StrFormat("node %u: mirror list not sorted", node));
     }
-    std::unordered_set<VertexId> expected;
-    for (VertexId v : share.owned) {
-      for (VertexId u : graph.Neighbors(v)) {
-        if (partition.owner[u] != node) expected.insert(u);
-      }
-    }
-    if (expected.size() != share.mirrors.size()) {
+    if (adjacent != share.mirrors.size()) {
       return fail(StrFormat("node %u: %zu mirrors listed, %zu adjacent", node,
-                            share.mirrors.size(), expected.size()));
+                            share.mirrors.size(), adjacent));
     }
     for (size_t i = 0; i < share.mirrors.size(); ++i) {
       const VertexId m = share.mirrors[i];
@@ -304,7 +306,7 @@ bool ValidatePartition(const CsrGraph& graph,
                       "master)",
                       node, m));
       }
-      if (expected.find(m) == expected.end()) {
+      if (stamp[m] != node) {
         return fail(StrFormat("node %u mirrors non-adjacent %u", node, m));
       }
     }

@@ -3,13 +3,13 @@
 #include <algorithm>
 #include <atomic>
 #include <memory>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "common/strings.h"
 #include "common/thread_pool.h"
 #include "common/timer.h"
+#include "core/delta_buffer.h"
 #include "core/resilience.h"
 #include "cpu/pkc.h"
 #include "graph/renumber.h"
@@ -32,7 +32,7 @@ struct Worker {
   sim::DeviceArray<uint32_t> d_deg;       // owned vertices only
   sim::DeviceArray<VertexId> d_buffer;    // local frontier buffer
   /// Outgoing decrement counts for foreign vertices, drained per sub-round.
-  std::unordered_map<VertexId, uint32_t> border_updates;
+  DeltaBuffer border_updates;
   PerfCounters counters;                  // per-sub-round, merged by master
   /// Per-partition active-vertex compaction state: once built, `active`
   /// holds this worker's still-unpeeled vertices and the scan sweeps it
@@ -145,6 +145,7 @@ StatusOr<DecomposeResult> RunMultiGpuPeel(const CsrGraph& graph,
       device_options.profile_name = StrFormat("worker%u", w);
     }
     workers[w].device = std::make_unique<sim::Device>(device_options);
+    workers[w].border_updates = DeltaBuffer(n);
   }
   bool any_faults = false;
   for (const Worker& worker : workers) {
@@ -192,7 +193,7 @@ StatusOr<DecomposeResult> RunMultiGpuPeel(const CsrGraph& graph,
     worker.end = end;
     worker.use_active = false;
     worker.active.clear();
-    worker.border_updates.clear();
+    worker.border_updates.Clear();
     const VertexId local_n = end - begin;
 
     std::vector<EdgeIndex> offsets(static_cast<size_t>(local_n) + 1, 0);
@@ -306,7 +307,7 @@ StatusOr<DecomposeResult> RunMultiGpuPeel(const CsrGraph& graph,
         dead.d_buffer.Reset();
         dead.active.clear();
         dead.use_active = false;
-        dead.border_updates.clear();
+        dead.border_updates.Clear();
         if (dead.begin == dead.end) {
           resharded[w] = 1;
           continue;
@@ -396,7 +397,7 @@ StatusOr<DecomposeResult> RunMultiGpuPeel(const CsrGraph& graph,
       const VertexId local_n = worker.end - worker.begin;
       worker.use_active = false;
       worker.active.clear();
-      worker.border_updates.clear();
+      worker.border_updates.Clear();
       uint64_t removed_in_range = 0;
       for (VertexId v = worker.begin; v < worker.end; ++v) {
         if (ckpt.claimed[v] != 0) ++removed_in_range;
@@ -572,7 +573,7 @@ StatusOr<DecomposeResult> RunMultiGpuPeel(const CsrGraph& graph,
               }
             } else {
               // Border edge: buffer the decrement for the master.
-              ++worker.border_updates[u];
+              worker.border_updates.Add(u);
               ++c.messages;
             }
           }
@@ -636,7 +637,7 @@ StatusOr<DecomposeResult> RunMultiGpuPeel(const CsrGraph& graph,
       uint64_t border_entries = 0;
       for (Worker& worker : workers) {
         border_entries += worker.border_updates.size();
-        for (const auto& [u, count] : worker.border_updates) {
+        worker.border_updates.Drain([&](VertexId u, uint32_t count) {
           uint32_t& du = deg_of(u);
           if (du > k) {
             // Clamp at k: decrements past the k-shell boundary are exactly
@@ -645,8 +646,7 @@ StatusOr<DecomposeResult> RunMultiGpuPeel(const CsrGraph& graph,
             du -= applied;
             border_applied += applied;
           }
-        }
-        worker.border_updates.clear();
+        });
       }
       // Transfer + apply cost at the master.
       const double exchange_start_ns = now_ns();

@@ -4,7 +4,6 @@
 // network layer must aggregate exactly as specified; faults mid-round must
 // recover (or degrade) without ever yielding a wrong answer.
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -13,6 +12,7 @@
 #include "cluster/network.h"
 #include "cluster/partition.h"
 #include "common/thread_pool.h"
+#include "core/delta_buffer.h"
 #include "cpu/naive_ref.h"
 #include "perf/trace.h"
 #include "serve/engine.h"
@@ -136,28 +136,35 @@ TEST(ClusterTest, CancelledBeforeStart) {
 
 // ------------------------------------------------------- Network layer ----
 
+constexpr VertexId kNetVertices = 16;
+
+std::vector<DeltaBuffer> Inboxes(uint32_t num_nodes) {
+  return std::vector<DeltaBuffer>(num_nodes, DeltaBuffer(kNetVertices));
+}
+
 TEST(ClusterNetworkTest, AggregatesSameVertexInPlace) {
-  ClusterNetwork network(2, NetworkOptions());
+  ClusterNetwork network(2, kNetVertices, NetworkOptions());
   network.Buffer(0, 1, /*v=*/7, 1);
   network.Buffer(0, 1, /*v=*/7, 2);
   network.Buffer(0, 1, /*v=*/9, 1);
   EXPECT_EQ(network.PendingEntries(), 2u);
 
-  std::vector<std::unordered_map<VertexId, uint32_t>> inboxes(2);
+  std::vector<DeltaBuffer> inboxes = Inboxes(2);
   EXPECT_GT(network.Flush(&inboxes), 0.0);
-  EXPECT_EQ(inboxes[1].at(7), 3u);
-  EXPECT_EQ(inboxes[1].at(9), 1u);
+  EXPECT_EQ(inboxes[1].size(), 2u);
+  EXPECT_EQ(inboxes[1].count(7), 3u);
+  EXPECT_EQ(inboxes[1].count(9), 1u);
   EXPECT_TRUE(inboxes[0].empty());
   EXPECT_EQ(network.PendingEntries(), 0u);
 }
 
 TEST(ClusterNetworkTest, FlushesExactlyOncePerLink) {
-  ClusterNetwork network(3, NetworkOptions());
+  ClusterNetwork network(3, kNetVertices, NetworkOptions());
   // Many buffered deltas on two links; one flush must emit exactly one
   // message per busy link and nothing on idle links.
   for (VertexId v = 0; v < 10; ++v) network.Buffer(0, 1, v, 1);
   for (VertexId v = 0; v < 4; ++v) network.Buffer(2, 0, v, 1);
-  std::vector<std::unordered_map<VertexId, uint32_t>> inboxes(3);
+  std::vector<DeltaBuffer> inboxes = Inboxes(3);
   network.Flush(&inboxes);
   EXPECT_EQ(network.LinkFlushCount(0, 1), 1u);
   EXPECT_EQ(network.LinkFlushCount(2, 0), 1u);
@@ -176,9 +183,9 @@ TEST(ClusterNetworkTest, ModeledCostMatchesHandComputation) {
   NetworkOptions options;
   options.link_latency_us = 2.0;
   options.link_bandwidth_gbps = 1.0;  // 1 byte per modeled ns
-  ClusterNetwork network(2, options);
+  ClusterNetwork network(2, kNetVertices, options);
   for (VertexId v = 0; v < 3; ++v) network.Buffer(0, 1, v, 1);
-  std::vector<std::unordered_map<VertexId, uint32_t>> inboxes(2);
+  std::vector<DeltaBuffer> inboxes = Inboxes(2);
   const double ns = network.Flush(&inboxes);
   // One message: 64-byte header + 3 entries x 8 bytes = 88 bytes at
   // 1 byte/ns, plus 2 us latency.
@@ -192,13 +199,13 @@ TEST(ClusterNetworkTest, SlowestSenderGatesTheBarrier) {
   NetworkOptions options;
   options.link_latency_us = 0.0;
   options.link_bandwidth_gbps = 1.0;
-  ClusterNetwork network(3, options);
+  ClusterNetwork network(3, kNetVertices, options);
   // Node 0 sends on two links (its NIC serializes: costs add); node 1 sends
   // one message in parallel with node 0.
   network.Buffer(0, 1, 1, 1);
   network.Buffer(0, 2, 2, 1);
   network.Buffer(1, 2, 3, 1);
-  std::vector<std::unordered_map<VertexId, uint32_t>> inboxes(3);
+  std::vector<DeltaBuffer> inboxes = Inboxes(3);
   const double ns = network.Flush(&inboxes);
   EXPECT_DOUBLE_EQ(ns, 2.0 * (64.0 + 8.0));
 }

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/delta_buffer.h"
 #include "core/gpu_peel.h"
 #include "core/multi_gpu_peel.h"
 #include "cpu/naive_ref.h"
@@ -12,6 +13,60 @@ namespace {
 
 using testing::FullSuite;
 using testing::NamedGraph;
+
+// ------------------------------------------- Border delta buffer (core) ---
+
+TEST(DeltaBufferTest, RepeatedVertexIsTouchedOnce) {
+  DeltaBuffer buffer(8);
+  EXPECT_TRUE(buffer.Add(5));
+  EXPECT_FALSE(buffer.Add(5));
+  EXPECT_TRUE(buffer.Add(2));
+  EXPECT_FALSE(buffer.Add(5, 3));
+  EXPECT_EQ(buffer.size(), 2u);
+  EXPECT_EQ(std::vector<VertexId>(buffer.touched().begin(),
+                                  buffer.touched().end()),
+            (std::vector<VertexId>{5, 2}));
+}
+
+TEST(DeltaBufferTest, CountsAccumulate) {
+  DeltaBuffer buffer(8);
+  buffer.Add(3);
+  buffer.Add(3, 4);
+  buffer.Add(7, 2);
+  EXPECT_EQ(buffer.count(3), 5u);
+  EXPECT_EQ(buffer.count(7), 2u);
+  EXPECT_EQ(buffer.count(0), 0u);
+}
+
+TEST(DeltaBufferTest, DrainVisitsEachEntryOnceAndZeroesEveryCount) {
+  constexpr VertexId kN = 64;
+  DeltaBuffer buffer(kN);
+  for (VertexId v = 0; v < kN; v += 3) buffer.Add(v, v + 1);
+  for (VertexId v = 0; v < kN; v += 6) buffer.Add(v);
+  std::vector<uint32_t> seen(kN, 0);
+  buffer.Drain([&](VertexId v, uint32_t count) { seen[v] += count; });
+  for (VertexId v = 0; v < kN; ++v) {
+    const uint32_t want = v % 3 != 0 ? 0 : v + 1 + (v % 6 == 0 ? 1 : 0);
+    EXPECT_EQ(seen[v], want) << v;
+    EXPECT_EQ(buffer.count(v), 0u) << v;
+  }
+  EXPECT_TRUE(buffer.empty());
+  // A drained buffer starts over: the next delta is a first touch again.
+  EXPECT_TRUE(buffer.Add(0));
+  EXPECT_EQ(buffer.count(0), 1u);
+}
+
+TEST(DeltaBufferTest, ClearDiscardsPendingDeltas) {
+  constexpr VertexId kN = 16;
+  DeltaBuffer buffer(kN);
+  for (VertexId v = 0; v < kN; v += 2) buffer.Add(v, 5);
+  buffer.Clear();
+  EXPECT_TRUE(buffer.empty());
+  for (VertexId v = 0; v < kN; ++v) EXPECT_EQ(buffer.count(v), 0u) << v;
+  uint32_t drained = 0;
+  buffer.Drain([&](VertexId, uint32_t) { ++drained; });
+  EXPECT_EQ(drained, 0u);
+}
 
 class MultiGpuWorkerCountTest : public ::testing::TestWithParam<uint32_t> {};
 

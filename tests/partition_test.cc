@@ -242,5 +242,52 @@ TEST(PartitionTest, ValidateCatchesCorruptedOwnerMap) {
   EXPECT_FALSE(why.empty());
 }
 
+// The mirror check. Path 0-..-7 split contiguously over 3 nodes: node 1
+// owns {3, 4, 5} and mirrors exactly {2, 6}.
+ClusterPartition PathThreeWay(const CsrGraph& graph) {
+  auto partition = BuildPartition(graph, PartitionStrategy::kContiguous, 3);
+  EXPECT_TRUE(partition.ok());
+  ClusterPartition out = *std::move(partition);
+  EXPECT_EQ(out.nodes[1].mirrors, (std::vector<VertexId>{2, 6}));
+  std::string why;
+  EXPECT_TRUE(ValidatePartition(graph, out, &why)) << why;
+  return out;
+}
+
+TEST(PartitionTest, ValidateCatchesDroppedMirror) {
+  const auto g = testing::PathGraph(8);
+  ClusterPartition partition = PathThreeWay(g.graph);
+  partition.nodes[1].mirrors = {2};
+  std::string why;
+  EXPECT_FALSE(ValidatePartition(g.graph, partition, &why));
+  EXPECT_EQ(why, "node 1: 1 mirrors listed, 2 adjacent");
+}
+
+TEST(PartitionTest, ValidateCatchesExtraNonAdjacentMirror) {
+  const auto g = testing::PathGraph(8);
+  ClusterPartition partition = PathThreeWay(g.graph);
+  std::string why;
+  // Vertex 0 is foreign to node 1 but not adjacent to anything it owns:
+  // appended, the count is off; swapped in, the set is.
+  partition.nodes[1].mirrors = {0, 2, 6};
+  EXPECT_FALSE(ValidatePartition(g.graph, partition, &why));
+  EXPECT_EQ(why, "node 1: 3 mirrors listed, 2 adjacent");
+  partition.nodes[1].mirrors = {0, 6};
+  EXPECT_FALSE(ValidatePartition(g.graph, partition, &why));
+  EXPECT_EQ(why, "node 1 mirrors non-adjacent 0");
+}
+
+TEST(PartitionTest, ValidateCatchesDuplicatedMirror) {
+  const auto g = testing::PathGraph(8);
+  ClusterPartition partition = PathThreeWay(g.graph);
+  std::string why;
+  partition.nodes[1].mirrors = {2, 2, 6};
+  EXPECT_FALSE(ValidatePartition(g.graph, partition, &why));
+  EXPECT_EQ(why, "node 1: 3 mirrors listed, 2 adjacent");
+  partition.nodes[1].mirrors = {2, 2};
+  EXPECT_FALSE(ValidatePartition(g.graph, partition, &why));
+  EXPECT_EQ(why, "node 1 mirrors 2 twice");
+}
+
 }  // namespace
 }  // namespace kcore

@@ -28,8 +28,10 @@ cd "$(dirname "$0")/.."
 
 # Transients recover via op retries; the bitflip via checkpoint rollback.
 fault_spec='launch_fail@2;copy_fail@1;bitflip:launch=7,word=0,bit=3,seed=9'
-# Suites that assert core numbers against the CPU oracle for the two
-# *resilient* engines (all kernel variants, compaction on/off, 1-7 workers).
+# Suites that assert core numbers against the CPU oracle for the three
+# *resilient* engines (all kernel variants, compaction on/off, 1-7 workers,
+# every cluster shape — the cluster leg drives its bitflip rollback over the
+# dense border delta buffers).
 # The system baselines (Medusa/Gunrock/GSWITCH) surface faults as Status by
 # design and are deliberately not run under the plan.
 fault_suites='GpuPeelVariantTest.MatchesOracleOnFullSuite'
@@ -38,6 +40,7 @@ fault_suites+='|MultiGpuWorkerCountTest.MatchesOracleOnFullSuite'
 fault_suites+='|MultiGpuTest.AgreesWithSingleGpuKernels'
 fault_suites+='|ExpandStrategyTest.MatchesOracleAcrossVariantsOnFullSuite'
 fault_suites+='|ExpandTest.MultiGpuAutoMatchesOracleAndBinsPartition'
+fault_suites+='|ClusterShapeTest.MatchesOracleOnFullSuite'
 
 run_tsan=0
 for arg in "$@"; do
