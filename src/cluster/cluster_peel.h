@@ -68,8 +68,9 @@ struct ClusterOptions {
   Trace* trace = nullptr;
 
   /// Thread pool running the node lanes; nullptr = DefaultThreadPool().
-  /// A 1-thread pool makes the whole run single-threaded (determinism
-  /// tests). Not owned.
+  /// A 1-thread pool still runs lanes on two host threads (its worker plus
+  /// the caller); the modeled clock does not depend on the thread count.
+  /// Not owned.
   ThreadPool* pool = nullptr;
 };
 

@@ -68,6 +68,8 @@ struct PerfCounters {
     loop_bin_block += other.loop_bin_block;
     return *this;
   }
+
+  bool operator==(const PerfCounters&) const = default;
 };
 
 }  // namespace kcore

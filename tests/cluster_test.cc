@@ -228,8 +228,9 @@ TEST(ClusterTest, BytesOnWireGoldenOnFourVertexPath) {
 }
 
 TEST(ClusterTest, ModeledCommDeterministicAcrossRuns) {
-  // With a 1-thread pool the whole run is single-threaded; two runs must
-  // agree bit-for-bit on every modeled number.
+  // A 1-thread pool is one worker plus the calling thread, so the lanes
+  // still run on two host threads; two runs must agree bit-for-bit on
+  // every modeled number all the same.
   ThreadPool pool(1);
   ClusterOptions options;
   options.num_nodes = 4;

@@ -1,16 +1,20 @@
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdlib>
 #include <cstring>
 #include <limits>
 #include <memory>
 #include <numeric>
+#include <set>
+#include <thread>
 #include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/random.h"
+#include "common/thread_pool.h"
 #include "cusim/atomics.h"
 #include "cusim/block.h"
 #include "cusim/device.h"
@@ -187,6 +191,58 @@ TEST(LaunchTest, ModeledTimeGrowsWithWork) {
   })
                   .ok());
   EXPECT_GT(device.modeled_ms(), small);
+}
+
+TEST(LaunchTest, CountersAndModeledTimeIgnoreWhichThreadRunsABlock) {
+  // One kernel, launched twice: short enough to stay on the launching
+  // thread, then with every block held on the host for 1 ms so the blocks
+  // spread over the pool. Counters, modeled time and every block's price
+  // must not depend on where the blocks ran.
+  ThreadPool pool(4);
+  DeviceOptions options;
+  options.pool = &pool;
+  Device device(options);
+  constexpr uint32_t kBlocks = 8;
+  constexpr uint32_t kDim = 64;
+  auto data = device.Alloc<uint32_t>(kBlocks * kDim);
+  auto total = device.Alloc<uint32_t>(1);
+  ASSERT_TRUE(data.ok());
+  ASSERT_TRUE(total.ok());
+  std::vector<std::thread::id> ran_on(kBlocks);
+  struct Observed {
+    PerfCounters totals;
+    double modeled_ms;
+    std::vector<double> block_ns;
+  };
+  auto launch = [&](bool hold) {
+    device.ResetClock();
+    EXPECT_TRUE(device.Launch(kBlocks, kDim, [&](auto& block) {
+      const uint32_t b = block.block_id();
+      if (hold) std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      // Block b makes b + 1 passes, so the blocks cost different amounts.
+      for (uint32_t pass = 0; pass <= b; ++pass) {
+        block.ForEachThread([&](uint32_t t) {
+          uint32_t* slot = data->data() + b * kDim + t;
+          GlobalStore(slot, GlobalLoad(slot, block.counters()) + 1,
+                      block.counters());
+          AtomicAdd(total->data(), 1u, block.counters());
+        });
+        block.Sync();
+      }
+      ran_on[b] = std::this_thread::get_id();
+    })
+                    .ok());
+    return Observed{device.totals(), device.modeled_ms(),
+                    device.last_launch_stats().block_ns};
+  };
+  const Observed inline_run = launch(/*hold=*/false);
+  const Observed spread_run = launch(/*hold=*/true);
+  EXPECT_GE(std::set<std::thread::id>(ran_on.begin(), ran_on.end()).size(),
+            2u);
+  EXPECT_EQ(spread_run.totals, inline_run.totals);
+  EXPECT_EQ(spread_run.modeled_ms, inline_run.modeled_ms);
+  EXPECT_EQ(spread_run.block_ns, inline_run.block_ns);
+  EXPECT_EQ(total->data()[0], 2u * kDim * kBlocks * (kBlocks + 1) / 2);
 }
 
 // ------------------------------------------------------------ Block/Warp ---

@@ -29,8 +29,10 @@ namespace {
 
 using testing::PaperFigureGraph;
 
-/// Small geometry: few blocks so the golden file stays reviewable, and the
-/// modeled schedule is deterministic under a single-threaded pool.
+/// Small geometry: few blocks so the golden file stays reviewable. Its
+/// launches finish well inside ThreadPool::kHelperGate, so their blocks run
+/// in order on the launching thread and the modeled schedule repeats; the
+/// 1-thread pool (one worker plus the caller) keeps the host side small.
 GpuPeelOptions TinyOptions() {
   GpuPeelOptions options;
   options.num_blocks = 2;
@@ -144,7 +146,8 @@ TEST(TraceSchema, GoldenChromeTraceForPaperFigure) {
 
 TEST(TraceSchema, GoldenRunIsDeterministic) {
   // The golden test is only meaningful if two identical runs serialize
-  // identically (single-threaded pool => stable block schedule).
+  // identically (short launches run their blocks in order on the launching
+  // thread => stable block schedule).
   ProfiledRun a = RunProfiledPaperFigure();
   ProfiledRun b = RunProfiledPaperFigure();
   EXPECT_EQ(a.device->profiler()->trace().ToChromeJson(),
