@@ -3,8 +3,10 @@
 
 #include <gtest/gtest.h>
 
+#include "common/thread_pool.h"
 #include "core/gpu_peel.h"
 #include "core/multi_gpu_peel.h"
+#include "cpu/bz.h"
 #include "cpu/naive_ref.h"
 #include "test_graphs.h"
 
@@ -95,6 +97,30 @@ TEST(GpuPeelTest, RepeatedRunsStableUnderRaces) {
     ASSERT_TRUE(result.ok());
     EXPECT_EQ(result->core, oracle) << "run " << i;
   }
+}
+
+TEST(GpuPeelTest, BlocksRacingOnSeveralThreadsMatchOracle) {
+  // Most launches on the suites above finish inside ThreadPool::kHelperGate
+  // and so run on the launching thread alone. Here the dense rounds' loop
+  // launches each hold several times the gate's worth of block work, so the
+  // pool fans them out and blocks race on deg[] (Alg. 3's rollback) across
+  // host threads, at paper geometry; the result must stay exact. The
+  // buffers hold V IDs because one block can collect most of the k_max
+  // collapse, more than the auto-sized max(4096, V/4).
+  const CsrGraph g =
+      BuildUndirectedGraph(GenerateErdosRenyi(10000, 200000, 31));
+  const std::vector<uint32_t> oracle = RunBz(g).core;
+  GpuPeelOptions options;
+  options.buffer_capacity = g.NumVertices();
+  ThreadPool pool(3);
+  sim::DeviceOptions device;
+  device.pool = &pool;
+  for (int i = 0; i < 3; ++i) {
+    auto result = RunGpuPeel(g, options, device);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    EXPECT_EQ(result->core, oracle) << "run " << i;
+  }
+  EXPECT_GT(pool.worker_tasks(), 0u);
 }
 
 TEST(GpuPeelTest, EmptyAndTinyGraphs) {
